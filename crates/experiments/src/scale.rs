@@ -45,10 +45,6 @@ pub struct ScaleConfig {
     /// Flap a core link down/up mid-run (exercises the fault path under
     /// partitioning; the digest must still match).
     pub faults: bool,
-    /// Also run every worker count with `tuning.batched` flipped and fold
-    /// those cells into the digest check: batched delivery must be
-    /// bit-identical to the eager event loop, serial and partitioned.
-    pub cross_batched: bool,
 }
 
 impl ScaleConfig {
@@ -63,7 +59,6 @@ impl ScaleConfig {
             tuning: SimTuning::default(),
             probe_interval: SimDuration::from_micros(500),
             faults: true,
-            cross_batched: false,
         }
     }
 
@@ -81,12 +76,12 @@ impl ScaleConfig {
         }
     }
 
-    /// Memory-footprint cell: k = 32 (8192 hosts), serial only, batched +
-    /// lazy fast path. One permutation wave of short flows — the point is
-    /// not throughput but the allocator high-water mark of a tree this
-    /// size, which [`ScaleCell::peak_alloc_bytes`] reports when the driver
-    /// process installed `xmp_netsim::set_alloc_bytes_probe` (the
-    /// instrumented bench binaries do; plain CLI runs report 0).
+    /// Memory-footprint cell: k = 32 (8192 hosts), serial only, lazy link
+    /// pipeline. One permutation wave of short flows — the point is not
+    /// throughput but the allocator high-water mark of a tree this size,
+    /// which [`ScaleCell::peak_alloc_bytes`] reports only when the driver
+    /// process installed `xmp_netsim::set_alloc_bytes_probe`; plain CLI
+    /// runs report 0.
     pub fn mega() -> Self {
         ScaleConfig {
             k: 32,
@@ -96,12 +91,10 @@ impl ScaleConfig {
             max_sim: SimDuration::from_millis(200),
             tuning: SimTuning {
                 lazy_links: true,
-                batched: true,
                 ..SimTuning::default()
             },
             probe_interval: SimDuration::from_millis(5),
             faults: false,
-            cross_batched: false,
         }
     }
 }
@@ -111,8 +104,6 @@ impl ScaleConfig {
 pub struct ScaleCell {
     /// Worker threads used.
     pub workers: usize,
-    /// Whether this cell ran with batched same-instant delivery.
-    pub batched: bool,
     /// Digest over flow records + audit + probes + event counts + clock.
     pub digest: u64,
     /// Completed flows.
@@ -268,7 +259,6 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     let completed = driver.records().filter(|r| r.completed.is_some()).count();
     ScaleCell {
         workers,
-        batched: cfg.tuning.batched,
         digest: h.finish(),
         completed,
         events: profile.events_handled(),
@@ -280,21 +270,11 @@ pub fn run_cell(cfg: &ScaleConfig, workers: usize) -> ScaleCell {
     }
 }
 
-/// Run every requested worker count and check the digests. With
-/// [`ScaleConfig::cross_batched`] set, each worker count also runs with
-/// `tuning.batched` flipped, and those cells join the digest check.
+/// Run every requested worker count and check the digests.
 pub fn run(cfg: &ScaleConfig) -> ScaleResult {
     let h = cfg.k / 2;
     let hosts = cfg.k * h * h;
-    let mut cells: Vec<ScaleCell> = Vec::new();
-    for &w in &cfg.workers {
-        cells.push(run_cell(cfg, w));
-        if cfg.cross_batched {
-            let mut flipped = cfg.clone();
-            flipped.tuning.batched = !flipped.tuning.batched;
-            cells.push(run_cell(&flipped, w));
-        }
-    }
+    let cells: Vec<ScaleCell> = cfg.workers.iter().map(|&w| run_cell(cfg, w)).collect();
     let digests_match = cells.iter().all(|c| c.digest == cells[0].digest);
     ScaleResult {
         k: cfg.k,
@@ -312,7 +292,6 @@ impl fmt::Display for ScaleResult {
         ))
         .header([
             "workers",
-            "loop",
             "wall (ms)",
             "speedup",
             "Mev/s",
@@ -323,7 +302,6 @@ impl fmt::Display for ScaleResult {
         for c in &self.cells {
             t.row([
                 format!("{}", c.workers),
-                if c.batched { "batched" } else { "eager" }.into(),
                 format!("{:.0}", c.wall_ms),
                 self.speedup(c.workers)
                     .map_or("-".into(), |s| format!("{s:.2}x")),
@@ -361,13 +339,11 @@ mod tests {
             workers: vec![1, 2],
             flow_bytes: 64 << 10,
             max_sim: SimDuration::from_millis(200),
-            cross_batched: true,
             ..ScaleConfig::quick()
         };
         let r = run(&cfg);
-        // 1/2 workers × eager/batched, all four digest-identical.
         assert!(r.digests_match, "{r}");
-        assert_eq!(r.cells.len(), 4);
+        assert_eq!(r.cells.len(), 2);
         assert!(r.cells[0].completed > 0);
         assert!(r.cells.iter().all(|c| c.completed == r.cells[0].completed));
     }

@@ -20,33 +20,15 @@ use xmp_topo::Dumbbell;
 use xmp_transport::{Segment, SubflowSpec};
 use xmp_workloads::{Driver, FlowSpecBuilder, Host, Scheme};
 
-const TUNINGS: [SimTuning; 4] = [
+const TUNINGS: [SimTuning; 2] = [
     SimTuning {
-        compiled_fib: false,
         lazy_links: false,
         drop_unroutable: false,
-        batched: false,
         hybrid: false,
     },
     SimTuning {
-        compiled_fib: true,
-        lazy_links: false,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: false,
         lazy_links: true,
         drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: false,
         hybrid: false,
     },
 ];
@@ -142,8 +124,8 @@ fn probes_observe_without_perturbing_across_tunings() {
 
 #[test]
 fn zero_horizon_probes_are_fully_absent() {
-    let never = faulted_run(TUNINGS[3], Probing::None);
-    let zero = faulted_run(TUNINGS[3], Probing::ZeroHorizon);
+    let never = faulted_run(TUNINGS[1], Probing::None);
+    let zero = faulted_run(TUNINGS[1], Probing::ZeroHorizon);
     // Bit-identical *including* the event count: a zero sampling horizon
     // schedules no event at all, the FaultPlan install discipline.
     assert_eq!(never.0, zero.0);

@@ -61,10 +61,8 @@ fn suite_digest(seed: u64, scheme: Scheme, tuning: SimTuning) -> String {
 #[test]
 fn hybrid_flag_without_fluid_flows_is_bit_identical() {
     let lazy = SimTuning {
-        compiled_fib: true,
         lazy_links: true,
         drop_unroutable: false,
-        batched: false,
         hybrid: false,
     };
     let armed = SimTuning {
@@ -78,27 +76,4 @@ fn hybrid_flag_without_fluid_flows_is_bit_identical() {
             "seed {seed}: the hybrid flag alone perturbed a packet-only run"
         );
     }
-}
-
-/// Same bit-identity claim under the batched delivery loop — the run-shared
-/// burst path and the hybrid coupling guards compose.
-#[test]
-fn hybrid_flag_is_inert_under_batched_loop() {
-    let batched = SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: true,
-        hybrid: false,
-    };
-    let armed = SimTuning {
-        hybrid: true,
-        ..batched
-    };
-    let seed = 5;
-    assert_eq!(
-        suite_digest(seed, Scheme::xmp(2), batched),
-        suite_digest(seed, Scheme::xmp(2), armed),
-        "seed {seed}: hybrid flag perturbed the batched loop"
-    );
 }

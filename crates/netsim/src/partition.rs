@@ -285,7 +285,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             fibs: _,
             fibs_ready: _,
             fault_timeline,
-            burst_scratch: _,
             unroutable,
             audit_injected,
             audit_delivered,
@@ -450,7 +449,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 fibs: Vec::new(),
                 fibs_ready: false,
                 fault_timeline: fault_timeline.clone(),
-                burst_scratch: Vec::new(),
                 unroutable: if s == 0 { unroutable } else { 0 },
                 audit_injected: if s == 0 { audit_injected } else { 0 },
                 audit_delivered: if s == 0 { audit_delivered } else { 0 },
@@ -833,7 +831,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 fibs: _,
                 fibs_ready: _,
                 fault_timeline,
-                burst_scratch: _,
                 unroutable: ur,
                 audit_injected,
                 audit_delivered,
@@ -857,10 +854,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             profile_sum.pool_misses += profile.pool_misses;
             profile_sum.fib_compile_ns += profile.fib_compile_ns;
             profile_sum.allocs += profile.allocs;
-            profile_sum.bursts += profile.bursts;
-            profile_sum.burst_events += profile.burst_events;
-            profile_sum.max_burst = profile_sum.max_burst.max(profile.max_burst);
-            profile_sum.burst_runs += profile.burst_runs;
             profile_sum.fluid_ticks += profile.fluid_ticks;
             profile_sum.alloc_high_water_bytes = profile_sum
                 .alloc_high_water_bytes
@@ -1002,7 +995,6 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             fibs: Vec::new(),
             fibs_ready: false,
             fault_timeline,
-            burst_scratch: Vec::new(),
             unroutable,
             audit_injected: injected,
             audit_delivered: delivered,
@@ -1339,20 +1331,10 @@ mod tests {
 
     #[test]
     fn partitioned_matches_serial_across_tunings() {
-        for &(compiled, lazy, batched) in &[
-            (false, false, false),
-            (true, false, false),
-            (false, true, false),
-            (true, true, false),
-            (false, false, true),
-            (true, true, true),
-        ] {
+        for lazy_links in [false, true] {
             let tuning = super::super::SimTuning {
-                compiled_fib: compiled,
-                lazy_links: lazy,
-                drop_unroutable: false,
-                batched,
-                hybrid: false,
+                lazy_links,
+                ..Default::default()
             };
             let serial = drive_serial(tuning);
             for workers in [1u32, 2] {

@@ -2,9 +2,9 @@
 //! leg, digest each leg, and audit runtime invariants mid-run.
 //!
 //! Every leg simulates the *same* scenario under a different
-//! proven-equivalent implementation choice — eager vs batched delivery,
-//! serial vs partitioned across 2–4 workers, static vs boxed dispatch for
-//! both congestion controllers and qdiscs — and must produce a
+//! proven-equivalent implementation choice — serial vs partitioned
+//! across 2–4 workers, static vs boxed dispatch for both congestion
+//! controllers and qdiscs — and must produce a
 //! bit-identical digest (the [`crate::scale`-style recipe][d]: final
 //! clock, every flow record, the conservation audit, every probe record
 //! and the per-kind event counts). Any digest mismatch or invariant-audit
@@ -25,12 +25,10 @@ use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host};
 /// One oracle leg: which implementation choices this run flips.
 #[derive(Debug, Clone)]
 pub struct LegSpec {
-    /// Display label, e.g. `serial`, `batched-flip`, `workers-4`, `boxed`.
+    /// Display label, e.g. `serial`, `workers-4`, `boxed`.
     pub label: String,
     /// Worker threads (1 = serial).
     pub workers: usize,
-    /// Flip `tuning.batched` relative to the scenario base.
-    pub flip_batched: bool,
     /// Route qdiscs and congestion controllers through the boxed
     /// escape hatches.
     pub boxed: bool,
@@ -81,31 +79,21 @@ impl RunOutcome {
 
 /// The oracle legs a scenario requests, baseline first.
 pub fn legs(sc: &Scenario) -> Vec<LegSpec> {
-    let leg = |label: &str, workers, flip_batched, boxed, inject| LegSpec {
-        label: label.to_string(),
+    let leg = |label: String, workers, boxed, inject| LegSpec {
+        label,
         workers,
-        flip_batched,
         boxed,
         inject,
     };
-    let mut v = vec![leg("serial", 1, false, false, false)];
-    if sc.check_batched {
-        v.push(leg("batched-flip", 1, true, false, false));
-    }
+    let mut v = vec![leg("serial".into(), 1, false, false)];
     for &w in &sc.workers {
-        v.push(LegSpec {
-            label: format!("workers-{w}"),
-            workers: w,
-            flip_batched: false,
-            boxed: false,
-            inject: false,
-        });
+        v.push(leg(format!("workers-{w}"), w, false, false));
     }
     if sc.check_boxed {
-        v.push(leg("boxed", 1, false, true, false));
+        v.push(leg("boxed".into(), 1, true, false));
     }
     if sc.inject_divergence {
-        v.push(leg("serial-injected", 1, false, false, true));
+        v.push(leg("serial-injected".into(), 1, false, true));
     }
     v
 }
@@ -138,12 +126,8 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunOutcome, String> {
 /// every drive-slice boundary; partitioned legs audit after `finish()`
 /// hands the shards back.
 pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
-    let mut tuning = sc.tuning;
-    if leg.flip_batched {
-        tuning.batched = !tuning.batched;
-    }
     let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
-    sim.set_tuning(tuning);
+    sim.set_tuning(sc.tuning);
 
     let qdisc = if leg.boxed {
         QdiscConfig::Boxed(Box::new(sc.qdisc.to_config()))

@@ -29,26 +29,34 @@ pub fn generate(master: u64, index: u64) -> Scenario {
     let tag_count = FatTree::tag_count_for(k);
     let horizon_us = rng.uniform_u64(20_000, 80_000);
 
+    let seed = rng.next_u64();
+    let rto_min_us = *pick(&mut rng, &[100_000, 200_000]);
+    // Each `let _` draw fed a retired knob; discarding it keeps every other field unchanged.
+    let _ = rng.chance(0.9);
+    let tuning = xmp_netsim::SimTuning {
+        lazy_links: rng.chance(0.3),
+        // Flipped on below whenever the storm can partition the tree.
+        drop_unroutable: rng.chance(0.2),
+        // Chaos scenarios exercise the packet pipelines; hybrid runs
+        // have their own differential harness (`hybrid_differential`).
+        hybrid: false,
+    };
+    let _ = rng.chance(0.25);
+    let qdisc = random_qdisc(&mut rng);
+    let probe_interval_us = rng.uniform_u64(200, 1000);
+    let check_boxed = rng.chance(0.7);
+    let _ = rng.chance(0.7);
+
     let mut sc = Scenario {
-        seed: rng.next_u64(),
+        seed,
         k,
         horizon_us,
-        rto_min_us: *pick(&mut rng, &[100_000, 200_000]),
-        tuning: xmp_netsim::SimTuning {
-            compiled_fib: rng.chance(0.9),
-            lazy_links: rng.chance(0.3),
-            // Flipped on below whenever the storm can partition the tree.
-            drop_unroutable: rng.chance(0.2),
-            batched: rng.chance(0.25),
-            // Chaos scenarios exercise the packet pipelines; hybrid runs
-            // have their own differential harness (`hybrid_differential`).
-            hybrid: false,
-        },
-        qdisc: random_qdisc(&mut rng),
-        probe_interval_us: rng.uniform_u64(200, 1000),
+        rto_min_us,
+        tuning,
+        qdisc,
+        probe_interval_us,
         workers: Vec::new(),
-        check_boxed: rng.chance(0.7),
-        check_batched: rng.chance(0.7),
+        check_boxed,
         inject_divergence: false,
         flows: Vec::new(),
         faults: Vec::new(),
@@ -66,8 +74,8 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         }
         sc.workers.dedup();
     }
-    if sc.workers.is_empty() && !sc.check_boxed && !sc.check_batched {
-        sc.check_batched = true; // always at least one oracle pair
+    if sc.workers.is_empty() {
+        sc.check_boxed = true; // always at least one oracle pair
     }
 
     generate_flows(&mut rng, &mut sc, hosts, tag_count);

@@ -380,8 +380,6 @@ pub struct Scenario {
     pub workers: Vec<usize>,
     /// Add a boxed-dispatch oracle leg (boxed qdisc + boxed CC).
     pub check_boxed: bool,
-    /// Add a `tuning.batched`-flipped oracle leg.
-    pub check_batched: bool,
     /// Test-only hook: append a leg with a spurious timer injected, which
     /// must diverge — proves the shrink→replay pipeline end to end.
     pub inject_divergence: bool,
@@ -415,10 +413,8 @@ impl Scenario {
         let _ = writeln!(s, "k = {}", self.k);
         let _ = writeln!(s, "horizon_us = {}", self.horizon_us);
         let _ = writeln!(s, "rto_min_us = {}", self.rto_min_us);
-        let _ = writeln!(s, "compiled_fib = {}", t.compiled_fib);
         let _ = writeln!(s, "lazy_links = {}", t.lazy_links);
         let _ = writeln!(s, "drop_unroutable = {}", t.drop_unroutable);
-        let _ = writeln!(s, "batched = {}", t.batched);
         let _ = writeln!(s, "qdisc = {}", self.qdisc);
         let _ = writeln!(s, "probe_interval_us = {}", self.probe_interval_us);
         let _ = writeln!(s, "\n[oracles]");
@@ -427,7 +423,6 @@ impl Scenario {
             let _ = writeln!(s, "workers = {}", w.join(","));
         }
         let _ = writeln!(s, "boxed = {}", self.check_boxed);
-        let _ = writeln!(s, "batched = {}", self.check_batched);
         let _ = writeln!(s, "inject_divergence = {}", self.inject_divergence);
         let _ = writeln!(s, "\n[flows]");
         for f in &self.flows {
@@ -484,7 +479,6 @@ impl Scenario {
             probe_interval_us: 500,
             workers: Vec::new(),
             check_boxed: false,
-            check_batched: false,
             inject_divergence: false,
             flows: Vec::new(),
             faults: Vec::new(),
@@ -536,10 +530,8 @@ impl Scenario {
                     seen[2] = true;
                 }
                 ("sim", "rto_min_us") => sc.rto_min_us = u64v()?,
-                ("sim", "compiled_fib") => sc.tuning.compiled_fib = boolv()?,
                 ("sim", "lazy_links") => sc.tuning.lazy_links = boolv()?,
                 ("sim", "drop_unroutable") => sc.tuning.drop_unroutable = boolv()?,
-                ("sim", "batched") => sc.tuning.batched = boolv()?,
                 ("sim", "qdisc") => sc.qdisc = QdiscSpec::parse(val).map_err(err)?,
                 ("sim", "probe_interval_us") => sc.probe_interval_us = u64v()?,
                 ("oracles", "workers") => {
@@ -555,7 +547,6 @@ impl Scenario {
                     }
                 }
                 ("oracles", "boxed") => sc.check_boxed = boolv()?,
-                ("oracles", "batched") => sc.check_batched = boolv()?,
                 ("oracles", "inject_divergence") => sc.inject_divergence = boolv()?,
                 ("flows", "flow") => {
                     let w: Vec<&str> = val.split_whitespace().collect();
@@ -688,7 +679,6 @@ mod tests {
             probe_interval_us: 500,
             workers: vec![2, 4],
             check_boxed: true,
-            check_batched: true,
             inject_divergence: false,
             flows: vec![FlowLine {
                 src: 0,
@@ -735,6 +725,11 @@ mod tests {
         assert!(e.msg.contains("before any"), "{e}");
         let e = Scenario::parse("[sim]\nseed = 1\nk = 4\n").unwrap_err();
         assert!(e.msg.contains("horizon_us"), "{e}");
+        // A replay file written before the same-instant delivery loop was
+        // retired names a knob that no longer exists.
+        let e = Scenario::parse("[sim]\nseed = 1\nbatched = true\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("unknown key `batched`"), "{e}");
     }
 
     #[test]

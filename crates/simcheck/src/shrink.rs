@@ -120,7 +120,6 @@ pub fn shrink(sc: &Scenario) -> (Scenario, usize) {
         let mut c = sc.clone();
         c.workers.clear();
         c.check_boxed = false;
-        c.check_batched = false;
         c.inject_divergence = false;
         c
     };
@@ -138,11 +137,6 @@ pub fn shrink(sc: &Scenario) -> (Scenario, usize) {
     if best.check_boxed {
         let mut cand = bare(&best);
         cand.check_boxed = true;
-        singles.push(cand);
-    }
-    if best.check_batched {
-        let mut cand = bare(&best);
-        cand.check_batched = true;
         singles.push(cand);
     }
     for cand in singles {

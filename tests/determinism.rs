@@ -142,33 +142,15 @@ fn faulted_dumbbell_run(seed: u64, tuning: SimTuning) -> (u64, u64, u64, u64) {
     )
 }
 
-const ALL_TUNINGS: [SimTuning; 4] = [
+const ALL_TUNINGS: [SimTuning; 2] = [
     SimTuning {
-        compiled_fib: false,
         lazy_links: false,
         drop_unroutable: false,
-        batched: false,
         hybrid: false,
     },
     SimTuning {
-        compiled_fib: true,
-        lazy_links: false,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: false,
         lazy_links: true,
         drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: false,
         hybrid: false,
     },
 ];

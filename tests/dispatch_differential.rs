@@ -22,33 +22,15 @@ fn digest(s: &str) -> u64 {
     h
 }
 
-const ALL_TUNINGS: [SimTuning; 4] = [
+const ALL_TUNINGS: [SimTuning; 2] = [
     SimTuning {
-        compiled_fib: false,
         lazy_links: false,
         drop_unroutable: false,
-        batched: false,
         hybrid: false,
     },
     SimTuning {
-        compiled_fib: true,
-        lazy_links: false,
-        drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: false,
         lazy_links: true,
         drop_unroutable: false,
-        batched: false,
-        hybrid: false,
-    },
-    SimTuning {
-        compiled_fib: true,
-        lazy_links: true,
-        drop_unroutable: false,
-        batched: false,
         hybrid: false,
     },
 ];
