@@ -5,9 +5,9 @@
 //! (see `Scheme::make_cc` in `xmp-workloads`) and the generic
 //! `MpSender<CcKind>` / `HostStack<CcKind>` monomorphize the per-ACK hot
 //! path into direct calls — no vtable, no per-flow controller allocation.
-//! External or experimental algorithms still plug in through
-//! [`CcKind::Custom`], which the dispatch differential test also uses to
-//! prove both paths bit-identical.
+//! External or experimental algorithms plug in through [`CcKind::Custom`]:
+//! `HostStack::open` takes any `CcKind`, so an out-of-tree
+//! `CongestionControl` type needs no change here.
 
 use crate::bos::Bos;
 use crate::xmp::Xmp;
@@ -36,8 +36,8 @@ pub enum CcKind {
 }
 
 /// Match-delegating implementation: every arm is a direct (inlinable) call
-/// into the concrete controller, so enum dispatch is behaviourally
-/// identical to the boxed path by construction.
+/// into the concrete controller; only [`CcKind::Custom`] goes through a
+/// vtable.
 macro_rules! delegate {
     ($self:ident, $inner:ident => $body:expr) => {
         match $self {
@@ -90,16 +90,6 @@ impl CongestionControl for CcKind {
     }
 }
 
-impl CcKind {
-    /// Wrap this controller in the [`CcKind::Custom`] boxed escape hatch.
-    /// The boxed value is the enum itself, so behaviour is identical and
-    /// only the dispatch mechanism (vtable vs match) changes — the lever
-    /// the dispatch differential test flips.
-    pub fn boxed(self) -> CcKind {
-        CcKind::Custom(Box::new(self))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn enum_and_boxed_dispatch_agree() {
+    fn enum_and_custom_dispatch_agree() {
         for mk in [
             || CcKind::Reno(Reno::new()),
             || CcKind::Dctcp(Dctcp::new()),
@@ -128,7 +118,7 @@ mod tests {
             || CcKind::Olia(Olia::new()),
         ] {
             let mut plain = mk();
-            let mut boxed = mk().boxed();
+            let mut boxed = CcKind::Custom(Box::new(mk()));
             assert_eq!(plain.name(), boxed.name());
             assert_eq!(plain.echo_mode(), boxed.echo_mode());
             // One subflow: standalone BOS rejects multipath init.

@@ -609,10 +609,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The previous single-`BinaryHeap` scheduler, kept verbatim as the
-/// measurement baseline for the timing wheel (see `crates/bench`) and as a
-/// differential-testing oracle: both implementations must produce the same
-/// pop sequence for any push sequence.
+/// The previous single-`BinaryHeap` scheduler, kept verbatim as a
+/// differential-testing oracle for the timing wheel: both implementations
+/// must produce the same pop sequence for any push sequence.
 #[derive(Debug)]
 pub struct BinaryHeapQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,

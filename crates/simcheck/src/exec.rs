@@ -3,9 +3,7 @@
 //!
 //! Every leg simulates the *same* scenario under a different
 //! proven-equivalent implementation choice — serial vs partitioned
-//! across 2–4 workers, static vs boxed dispatch for both congestion
-//! controllers and qdiscs — and must produce a
-//! bit-identical digest (the [`crate::scale`-style recipe][d]: final
+//! across 2–4 workers — and must produce a bit-identical digest (the [`crate::scale`-style recipe][d]: final
 //! clock, every flow record, the conservation audit, every probe record
 //! and the per-kind event counts). Any digest mismatch or invariant-audit
 //! failure marks the scenario as failing, which sends it to the shrinker.
@@ -15,9 +13,7 @@
 use crate::scenario::{FaultSpec, Scenario};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use xmp_des::{SimDuration, SimTime};
-use xmp_netsim::{
-    FaultPlan, InvariantState, PartitionedSim, PortId, ProbeConfig, QdiscConfig, Sim,
-};
+use xmp_netsim::{FaultPlan, InvariantState, PartitionedSim, PortId, ProbeConfig, Sim};
 use xmp_topo::{FatTree, FatTreeConfig};
 use xmp_transport::{HostStack, Segment, StackConfig, SubflowSpec};
 use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host};
@@ -25,13 +21,10 @@ use xmp_workloads::{Driver, FlowSim, FlowSpecBuilder, Host};
 /// One oracle leg: which implementation choices this run flips.
 #[derive(Debug, Clone)]
 pub struct LegSpec {
-    /// Display label, e.g. `serial`, `workers-4`, `boxed`.
+    /// Display label, e.g. `serial`, `workers-4`.
     pub label: String,
     /// Worker threads (1 = serial).
     pub workers: usize,
-    /// Route qdiscs and congestion controllers through the boxed
-    /// escape hatches.
-    pub boxed: bool,
     /// Fire the spurious-timer chaos hook on this leg (test-only).
     pub inject: bool,
 }
@@ -79,21 +72,17 @@ impl RunOutcome {
 
 /// The oracle legs a scenario requests, baseline first.
 pub fn legs(sc: &Scenario) -> Vec<LegSpec> {
-    let leg = |label: String, workers, boxed, inject| LegSpec {
+    let leg = |label: String, workers, inject| LegSpec {
         label,
         workers,
-        boxed,
         inject,
     };
-    let mut v = vec![leg("serial".into(), 1, false, false)];
+    let mut v = vec![leg("serial".into(), 1, false)];
     for &w in &sc.workers {
-        v.push(leg(format!("workers-{w}"), w, false, false));
-    }
-    if sc.check_boxed {
-        v.push(leg("boxed".into(), 1, true, false));
+        v.push(leg(format!("workers-{w}"), w, false));
     }
     if sc.inject_divergence {
-        v.push(leg("serial-injected".into(), 1, false, true));
+        v.push(leg("serial-injected".into(), 1, true));
     }
     v
 }
@@ -129,14 +118,9 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
     let mut sim: Sim<Segment, Host> = Sim::new(sc.seed);
     sim.set_tuning(sc.tuning);
 
-    let qdisc = if leg.boxed {
-        QdiscConfig::Boxed(Box::new(sc.qdisc.to_config()))
-    } else {
-        sc.qdisc.to_config()
-    };
     let ft_cfg = FatTreeConfig {
         k: sc.k,
-        ..FatTreeConfig::paper(qdisc)
+        ..FatTreeConfig::paper(sc.qdisc.to_config())
     };
     let stack_cfg = StackConfig::default().with_rto_min(SimDuration::from_micros(sc.rto_min_us));
     let ft = FatTree::try_build(&mut sim, &ft_cfg, |_| HostStack::new(stack_cfg.clone()))
@@ -177,7 +161,6 @@ pub fn run_leg(sc: &Scenario, leg: &LegSpec) -> Result<LegOutcome, String> {
     }
 
     let mut driver = Driver::new();
-    driver.set_boxed_cc(leg.boxed);
     let n = ft.hosts.len();
     let tag_count = ft.tag_count();
     let mut conns = Vec::with_capacity(sc.flows.len());

@@ -44,7 +44,7 @@ pub fn generate(master: u64, index: u64) -> Scenario {
     let _ = rng.chance(0.25);
     let qdisc = random_qdisc(&mut rng);
     let probe_interval_us = rng.uniform_u64(200, 1000);
-    let check_boxed = rng.chance(0.7);
+    let _ = rng.chance(0.7);
     let _ = rng.chance(0.7);
 
     let mut sc = Scenario {
@@ -56,7 +56,6 @@ pub fn generate(master: u64, index: u64) -> Scenario {
         qdisc,
         probe_interval_us,
         workers: Vec::new(),
-        check_boxed,
         inject_divergence: false,
         flows: Vec::new(),
         faults: Vec::new(),
@@ -73,9 +72,8 @@ pub fn generate(master: u64, index: u64) -> Scenario {
             sc.workers.push(*pick(&mut rng, &[3, 4]).min(&k));
         }
         sc.workers.dedup();
-    }
-    if sc.workers.is_empty() {
-        sc.check_boxed = true; // always at least one oracle pair
+    } else {
+        sc.workers.push(2); // always at least one oracle pair
     }
 
     generate_flows(&mut rng, &mut sc, hosts, tag_count);

@@ -2,7 +2,7 @@
 //!
 //! Seeded scenario fuzzing with differential oracles: every generated
 //! scenario runs under several proven-equivalent implementation choices
-//! (serial vs partitioned, static vs boxed dispatch) and every leg must
+//! (serial vs partitioned across 2–4 workers) and every leg must
 //! produce a bit-identical digest while runtime invariant audits hold
 //! mid-run. On failure the scenario is shrunk to a minimal reproducer and
 //! written as a replay file that `simcheck replay` re-executes exactly.

@@ -378,8 +378,6 @@ pub struct Scenario {
     pub probe_interval_us: u64,
     /// Worker counts for partitioned oracle legs.
     pub workers: Vec<usize>,
-    /// Add a boxed-dispatch oracle leg (boxed qdisc + boxed CC).
-    pub check_boxed: bool,
     /// Test-only hook: append a leg with a spurious timer injected, which
     /// must diverge — proves the shrink→replay pipeline end to end.
     pub inject_divergence: bool,
@@ -422,7 +420,6 @@ impl Scenario {
             let w: Vec<String> = self.workers.iter().map(|w| w.to_string()).collect();
             let _ = writeln!(s, "workers = {}", w.join(","));
         }
-        let _ = writeln!(s, "boxed = {}", self.check_boxed);
         let _ = writeln!(s, "inject_divergence = {}", self.inject_divergence);
         let _ = writeln!(s, "\n[flows]");
         for f in &self.flows {
@@ -478,7 +475,6 @@ impl Scenario {
             qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
             probe_interval_us: 500,
             workers: Vec::new(),
-            check_boxed: false,
             inject_divergence: false,
             flows: Vec::new(),
             faults: Vec::new(),
@@ -546,7 +542,6 @@ impl Scenario {
                         );
                     }
                 }
-                ("oracles", "boxed") => sc.check_boxed = boolv()?,
                 ("oracles", "inject_divergence") => sc.inject_divergence = boolv()?,
                 ("flows", "flow") => {
                     let w: Vec<&str> = val.split_whitespace().collect();
@@ -678,7 +673,6 @@ mod tests {
             qdisc: QdiscSpec::Ecn { cap: 100, k: 10 },
             probe_interval_us: 500,
             workers: vec![2, 4],
-            check_boxed: true,
             inject_divergence: false,
             flows: vec![FlowLine {
                 src: 0,
@@ -730,6 +724,10 @@ mod tests {
         let e = Scenario::parse("[sim]\nseed = 1\nbatched = true\n").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.msg.contains("unknown key `batched`"), "{e}");
+        // Likewise the retired boxed-dispatch oracle leg.
+        let e = Scenario::parse("[sim]\nseed = 1\n[oracles]\nboxed = true\n").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.msg.contains("unknown key `boxed`"), "{e}");
     }
 
     #[test]

@@ -11,6 +11,18 @@ use xmp_simcheck::{exec, gen, shrink, Scenario};
 /// The same master seed `--budget quick` uses.
 const QUICK_SEED: u64 = 0x51_3C_4E_C4;
 
+/// Serial-leg digests of quick-batch scenarios 0..6. Simplifications of
+/// the oracle legs must reproduce them exactly: the serial baseline is
+/// what every other leg is compared against.
+const SERIAL_DIGESTS: [u64; 6] = [
+    0xcadb_b1e0_b45f_5ff6,
+    0xdb84_73ff_df29_2e09,
+    0x8683_2c32_8c73_1403,
+    0xa8af_8901_157a_9dad,
+    0x0e76_c003_3a90_afe9,
+    0xaa34_5cab_4b33_bda0,
+];
+
 #[test]
 fn quick_batch_slice_has_no_divergence() {
     // A debug-build-sized slice of the 50-scenario CI batch; the full
@@ -26,6 +38,10 @@ fn quick_batch_slice_has_no_divergence() {
             out.audit_failures()
         );
         assert!(out.legs.len() >= 2, "scenario {i} had no oracle pair");
+        assert_eq!(
+            out.legs[0].digest, SERIAL_DIGESTS[i as usize],
+            "scenario {i}: serial-leg digest moved"
+        );
     }
 }
 
@@ -56,11 +72,10 @@ fn injected_divergence_shrinks_to_deterministic_replay() {
         "shrinker grew the scenario"
     );
     assert!(
-        min.workers.is_empty() && !min.check_boxed,
+        min.workers.is_empty(),
         "injected failure should minimize to the serial-vs-injected pair, got \
-         workers {:?} boxed {}",
-        min.workers,
-        min.check_boxed
+         workers {:?}",
+        min.workers
     );
     let min_out = exec::run_scenario(&min).expect("minimized scenario constructs");
     assert!(!min_out.passed(), "minimized scenario no longer fails");

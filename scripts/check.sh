@@ -27,10 +27,16 @@ cargo run --release --offline -p xmp-experiments -- scale --quick --workers 4
 # workload (the hybrid command exits nonzero when out of tolerance).
 cargo run --release --offline -p xmp-experiments -- hybrid --quick
 # Chaos gate: 50 seeded fuzz scenarios, each run under every applicable
-# differential oracle (serial/partitioned, static/boxed dispatch)
+# differential oracle (serial vs partitioned across 2-4 workers)
 # with runtime invariant audits. Exits nonzero and writes a minimized
 # replay file under results/simcheck/ on any divergence.
 cargo run --release --offline -p xmp-simcheck -- run --budget quick --out results/simcheck
+# Benchmark digests: xmpbench runs each workload at least 3 times and
+# exits 1 unless every run reproduces its pinned digest, passes the
+# conservation audit and completes every flow (hybrid-k8 also checks its
+# accuracy bands against the packet reference).
+cargo run --release --offline --quiet --manifest-path xmpbench/Cargo.toml -- --workload perm-k8 --seconds 0
+cargo run --release --offline --quiet --manifest-path xmpbench/Cargo.toml -- --workload hybrid-k8 --seconds 0
 # Smoke: dynamics must export parseable JSONL traces, and `trace report`
 # (the std-only checker) must round-trip them. results/ stays untracked.
 cargo run --release --offline -p xmp-experiments -- dynamics --quick

@@ -1,15 +1,20 @@
-//! Dispatch differential: the statically dispatched hot path (inline
-//! agents, `QdiscKind` enums, `CcKind` controllers) must be **bit
-//! identical** to the historical dynamic path (`Box<dyn Agent>`, boxed
-//! qdiscs, `CcKind::Custom` controllers) — same clock, same per-flow
-//! records, same conservation totals, same probe stream — under every
-//! simulator tuning, with faults and probes enabled. Devirtualization is
-//! a pure performance change or it is a bug.
+//! Extension points, end to end.
+//!
+//! * Agent storage: inline agents (`Sim<Segment, Host>`, the
+//!   devirtualized hot path) must be **bit identical** to agents stored as
+//!   `Box<dyn Agent>` (the `Sim` default) — same clock, same per-flow
+//!   records, same conservation totals, same probe stream — under both
+//!   link pipelines, with faults and probes enabled.
+//! * Controllers: an out-of-tree `CongestionControl` type plugs in through
+//!   `CcKind::Custom` passed to `HostStack::open`, and its flow completes.
 
-use xmp_suite::experiments::suite::{run_suite_profiled, Pattern, SuiteConfig};
-use xmp_suite::netsim::{Agent, ProbeConfig, ProbeRecord};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use xmp_suite::core::CcKind;
+use xmp_suite::netsim::{Agent, ProbeConfig};
 use xmp_suite::prelude::*;
-use xmp_suite::workloads::Host;
+use xmp_suite::transport::{AckInfo, EchoMode, SubflowCc};
+use xmp_suite::workloads::{FlowSim, Host};
 
 /// FNV-1a over a string rendering (f64 Debug formatting round-trips
 /// exactly, so equal digests mean bit-equal numbers).
@@ -40,21 +45,16 @@ const ALL_TUNINGS: [SimTuning; 2] = [
 fn faulted_probed_run<A: Agent<Segment>>(
     seed: u64,
     tuning: SimTuning,
-    boxed_cc_and_qdisc: bool,
     mut make_host: impl FnMut() -> A,
 ) -> (u64, u64, u64, u64) {
     let mut sim: Sim<Segment, A> = Sim::new(seed);
     sim.set_tuning(tuning);
-    let mut qdisc = QdiscConfig::EcnThreshold { cap: 100, k: 10 };
-    if boxed_cc_and_qdisc {
-        qdisc = qdisc.boxed();
-    }
     let db = Dumbbell::build(
         &mut sim,
         4,
         Bandwidth::from_gbps(1),
         SimDuration::from_micros(400),
-        qdisc,
+        QdiscConfig::EcnThreshold { cap: 100, k: 10 },
         |_| make_host(),
     );
     sim.install_fault_plan(
@@ -72,7 +72,6 @@ fn faulted_probed_run<A: Agent<Segment>>(
             .with_marks(),
     );
     let mut d = Driver::new();
-    d.set_boxed_cc(boxed_cc_and_qdisc);
     for i in 0..4 {
         d.submit(FlowSpecBuilder {
             src_node: db.sources[i],
@@ -116,97 +115,92 @@ fn faulted_probed_run<A: Agent<Segment>>(
 #[test]
 fn enum_and_boxed_dumbbell_runs_are_bit_identical_under_every_tuning() {
     for tuning in ALL_TUNINGS {
-        let stat =
-            faulted_probed_run::<Host>(5, tuning, false, || HostStack::new(StackConfig::default()));
-        let dynam = faulted_probed_run::<Box<dyn Agent<Segment>>>(5, tuning, true, || {
+        let inline =
+            faulted_probed_run::<Host>(5, tuning, || HostStack::new(StackConfig::default()));
+        let boxed = faulted_probed_run::<Box<dyn Agent<Segment>>>(5, tuning, || {
             Box::new(HostStack::new(StackConfig::default()))
         });
         assert_eq!(
-            stat, dynam,
-            "{tuning:?}: static dispatch diverged from the boxed path"
+            inline, boxed,
+            "{tuning:?}: inline agents diverged from boxed agents"
         );
     }
 }
 
-#[test]
-fn suite_cells_are_bit_identical_across_dispatch_under_every_tuning() {
-    for tuning in ALL_TUNINGS {
-        let cell = |boxed| SuiteConfig {
-            target_flows: 8,
-            max_sim: SimDuration::from_secs(3),
-            seed: 17,
-            tuning,
-            probe_interval: Some(SimDuration::from_millis(10)),
-            boxed_dispatch: boxed,
-            ..SuiteConfig::quick(Scheme::xmp(2), Pattern::Permutation)
+/// A controller the workspace does not know: slow start, then one packet
+/// per RTT, halving on loss. Counts the ACKs it handles.
+struct TestCc {
+    acks: Arc<AtomicU64>,
+}
+
+impl CongestionControl for TestCc {
+    fn echo_mode(&self) -> EchoMode {
+        EchoMode::None
+    }
+
+    fn on_ack(&mut self, r: usize, info: &AckInfo, view: &mut [SubflowCc]) {
+        if info.newly_acked == 0 {
+            return;
+        }
+        self.acks.fetch_add(1, Ordering::Relaxed);
+        let s = &mut view[r];
+        s.cwnd += if s.cwnd < s.ssthresh {
+            1.0
+        } else {
+            1.0 / s.cwnd
         };
-        let (rs, es, _) = run_suite_profiled(&cell(false));
-        let (rb, eb, _) = run_suite_profiled(&cell(true));
-        assert_eq!(es, eb, "{tuning:?}: event counts diverged across dispatch");
-        assert_eq!(
-            digest(&format!("{rs:?}")),
-            digest(&format!("{rb:?}")),
-            "{tuning:?}: suite outcome diverged across dispatch"
-        );
+    }
+
+    fn ssthresh_on_loss(&mut self, r: usize, view: &[SubflowCc]) -> f64 {
+        (view[r].cwnd / 2.0).max(2.0)
+    }
+
+    fn name(&self) -> &'static str {
+        "test-cc"
     }
 }
 
 #[test]
-fn probe_records_match_one_for_one_across_dispatch() {
-    // Beyond the digest: the probe streams have the same length and every
-    // queue-sample record parses back identically from JSONL.
-    let collect = |boxed: bool| -> Vec<String> {
-        let mut sim: Sim<Segment, Host> = Sim::new(3);
-        let mut qdisc = QdiscConfig::EcnThreshold { cap: 100, k: 10 };
-        if boxed {
-            qdisc = qdisc.boxed();
-        }
-        let db = Dumbbell::build(
-            &mut sim,
-            2,
-            Bandwidth::from_gbps(1),
-            SimDuration::from_micros(400),
-            qdisc,
-            |_| HostStack::new(StackConfig::default()),
-        );
-        sim.install_probes(
-            ProbeConfig::every(SimDuration::from_millis(2))
-                .until(SimTime::from_secs(5))
-                .watch_queue(db.bottleneck, 0)
-                .with_marks(),
-        );
-        let mut d = Driver::new();
-        d.set_boxed_cc(boxed);
-        for i in 0..2 {
-            d.submit(FlowSpecBuilder {
-                src_node: db.sources[i],
-                subflows: vec![SubflowSpec {
-                    local_port: PortId(0),
-                    src: Dumbbell::src_addr(i),
-                    dst: Dumbbell::dst_addr(i),
-                }],
-                size: 1_000_000,
-                scheme: Scheme::xmp(1),
-                start: SimTime::ZERO,
-                category: None,
-                tag: i as u64,
-            });
-        }
-        d.run(&mut sim, SimTime::from_secs(5), |_, _, _| {});
-        let probes = sim.take_probes().expect("probes were installed");
-        probes
-            .records()
-            .iter()
-            .map(|r| {
-                let line = r.to_json();
-                let back = ProbeRecord::parse(&line).expect("probe JSONL round-trips");
-                assert_eq!(format!("{r:?}"), format!("{back:?}"));
-                line
-            })
-            .collect()
-    };
-    let a = collect(false);
-    let b = collect(true);
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "probe streams diverged across dispatch");
+fn out_of_tree_controller_plugs_in_through_cc_kind_custom() {
+    const SIZE: u64 = 3_000_000;
+    const CONN: u64 = 7;
+    let mut sim: Sim<Segment, Host> = Sim::new(11);
+    let db = Dumbbell::build(
+        &mut sim,
+        1,
+        Bandwidth::from_gbps(1),
+        SimDuration::from_micros(400),
+        QdiscConfig::EcnThreshold { cap: 100, k: 10 },
+        |_| HostStack::new(StackConfig::default()),
+    );
+    let acks = Arc::new(AtomicU64::new(0));
+    let cc = CcKind::Custom(Box::new(TestCc { acks: acks.clone() }));
+    sim.with_host(db.sources[0], |s, ctx| {
+        let subflows = vec![SubflowSpec {
+            local_port: PortId(0),
+            src: Dumbbell::src_addr(0),
+            dst: Dumbbell::dst_addr(0),
+        }];
+        s.open(ctx, CONN, subflows, SIZE, cc);
+    });
+    let mut completed = Vec::new();
+    sim.run_until(SimTime::from_secs(5), |_, _, conn| completed.push(conn));
+    assert_eq!(
+        completed,
+        vec![CONN],
+        "the custom-controlled flow never completed"
+    );
+    sim.audit_conservation();
+    sim.with_host(db.sources[0], |s, _| {
+        let sender = s.sender(CONN).expect("sending connection exists");
+        assert_eq!(sender.cc().name(), "test-cc");
+        assert_eq!(s.conn_stats(CONN).expect("stats").bytes_acked, SIZE);
+    });
+    sim.with_host(db.sinks[0], |s, _| {
+        assert_eq!(s.receiver(CONN).expect("receiver exists").delivered(), SIZE);
+    });
+    assert!(
+        acks.load(Ordering::Relaxed) > 100,
+        "TestCc saw too few ACKs to have driven the flow"
+    );
 }
