@@ -44,7 +44,8 @@
 //! (kept below as [`BinaryHeapQueue`] and used as the bench baseline).
 //!
 //! An occupancy bitmap (one bit per slot, plus a word-level summary) lets
-//! the cursor jump over empty buckets in O(words) rather than O(slots).
+//! the cursor jump over empty buckets with at most one `trailing_zeros`
+//! per summary word (16 of them) rather than a test per slot.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -301,61 +302,66 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Smallest absolute bucket ahead of the cursor with a pending wheel
-    /// event, if any (bitmap scan; O(words)).
-    fn next_wheel_bucket(&self) -> Option<u64> {
-        let start = (self.cursor & SLOT_MASK) as usize;
-        // Slots run circularly from `start` (exclusive — cursor's own slot
-        // was drained into `current`) for WHEEL_SLOTS-1 positions; but a
-        // fresh queue may also have events in the cursor slot itself, so
-        // include it.
-        let (start_word, start_bit) = (start / 64, start % 64);
-        // First, the remainder of the start word.
-        let w = self.bitmap[start_word] >> start_bit;
-        if w != 0 {
-            let slot = start + w.trailing_zeros() as usize;
-            return Some(self.cursor + (slot - start) as u64);
-        }
-        // Then whole words, circularly, via the summary.
-        for i in 1..=BITMAP_WORDS {
-            let word_idx = (start_word + i) % BITMAP_WORDS;
-            if self.summary[word_idx / 64] & (1 << (word_idx % 64)) == 0 {
-                continue;
+    /// First bitmap word index in `from..to` whose summary bit is set:
+    /// one `trailing_zeros` per summary word, so an empty stretch of the
+    /// wheel costs O(summary words), not O(bitmap words).
+    #[inline]
+    fn next_summary_word(&self, from: usize, to: usize) -> Option<usize> {
+        let mut w = from;
+        while w < to {
+            let bits = self.summary[w / 64] >> (w % 64);
+            if bits != 0 {
+                let found = w + bits.trailing_zeros() as usize;
+                return (found < to).then_some(found);
             }
-            let mut w = self.bitmap[word_idx];
-            if word_idx == start_word {
-                // Wrapped all the way: only bits before start_bit remain.
-                w &= (1 << start_bit) - 1;
-                if w == 0 {
-                    break;
-                }
-            }
-            if w != 0 {
-                let slot = word_idx * 64 + w.trailing_zeros() as usize;
-                let dist = (slot + WHEEL_SLOTS - start) % WHEEL_SLOTS;
-                // dist == 0 handled by the start-word scan above.
-                let dist = if dist == 0 { WHEEL_SLOTS } else { dist };
-                return Some(self.cursor + dist as u64);
-            }
+            w = (w / 64 + 1) * 64;
         }
         None
     }
 
-    /// Advance the cursor to the bucket holding the next pending event and
-    /// load that bucket into the current run. Returns false if nothing is
-    /// pending.
-    fn refill_current(&mut self) -> bool {
+    /// Smallest absolute bucket at or ahead of the cursor with a pending
+    /// wheel event, if any. Slots run circularly from the cursor's own slot
+    /// (a fresh queue may hold events there): the rest of the start word,
+    /// then whole words after it and, wrapping, before it (found through
+    /// the summary), then the start word's low bits.
+    fn next_wheel_bucket(&self) -> Option<u64> {
+        let start = (self.cursor & SLOT_MASK) as usize;
+        let (start_word, start_bit) = (start / 64, start % 64);
+        let ahead = self.bitmap[start_word] >> start_bit;
+        if ahead != 0 {
+            return Some(self.cursor + u64::from(ahead.trailing_zeros()));
+        }
+        let slot = match self
+            .next_summary_word(start_word + 1, BITMAP_WORDS)
+            .or_else(|| self.next_summary_word(0, start_word))
+        {
+            Some(w) => w * 64 + self.bitmap[w].trailing_zeros() as usize,
+            None => {
+                // Wrapped all the way: only bits before start_bit remain.
+                let behind = self.bitmap[start_word] & ((1 << start_bit) - 1);
+                if behind == 0 {
+                    return None;
+                }
+                start_word * 64 + behind.trailing_zeros() as usize
+            }
+        };
+        Some(self.cursor + ((slot + WHEEL_SLOTS - start) % WHEEL_SLOTS) as u64)
+    }
+
+    /// Absolute bucket holding the earliest pending event outside the hot
+    /// run: the next occupied wheel bucket, else the overflow heap's head
+    /// (overflow events lie at least a full window past every wheel event).
+    fn next_bucket(&self) -> Option<u64> {
+        self.next_wheel_bucket()
+            .or_else(|| self.overflow.peek().map(|e| abs_bucket(e.at)))
+    }
+
+    /// Advance the cursor to bucket `target` — the one [`Self::next_bucket`]
+    /// returned — and load it into the current run.
+    fn refill_at(&mut self, target: u64) {
         debug_assert!(self.head == self.hot.len());
         self.hot.clear();
         self.head = 0;
-        let wheel_next = self.next_wheel_bucket();
-        let overflow_next = self.overflow.peek().map(|e| abs_bucket(e.at));
-        let target = match (wheel_next, overflow_next) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        };
-        let Some(target) = target else { return false };
         self.cursor = target;
         // Migrate overflow events that now fit in the window. The overflow
         // heap yields them in (time, seq) order; anything landing in the
@@ -393,8 +399,11 @@ impl<E> EventQueue<E> {
             });
             i = node.next;
         }
+        // The slot list is LIFO; reversed it is in scheduling order, which
+        // is nearly time order, so the sort below does little work. Keys
+        // are unique, so the sorted result is the same either way.
+        hot.reverse();
         hot.sort_unstable_by_key(|r| (r.at, r.key, r.seq));
-        true
     }
 
     /// Take the record at the pop cursor: advance the cursor, lift the
@@ -423,8 +432,9 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.head == self.hot.len() && !self.refill_current() {
-            return None;
+        if self.head == self.hot.len() {
+            let target = self.next_bucket()?;
+            self.refill_at(target);
         }
         Some(self.pop_hot())
     }
@@ -433,14 +443,16 @@ impl<E> EventQueue<E> {
     /// `deadline` — the run loop's single per-event queue access.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
         if self.head == self.hot.len() {
-            // Bound-check before committing the cursor: advancing the wheel
-            // toward an event beyond the deadline would be premature — the
-            // caller may schedule earlier events before its next pop.
-            if self.peek_time().is_none_or(|t| t > deadline) {
-                return None;
+            // Bound-check the bucket before committing the cursor: advancing
+            // the wheel past the deadline's bucket would be premature — the
+            // caller may schedule earlier events before its next pop. Loading
+            // the deadline's own bucket is safe even when its events are all
+            // later: pushes at or before the cursor bucket sort into the hot
+            // run.
+            match self.next_bucket() {
+                Some(b) if b <= abs_bucket(deadline) => self.refill_at(b),
+                _ => return None,
             }
-            let refilled = self.refill_current();
-            debug_assert!(refilled, "peek saw an event but refill found none");
         }
         if self.hot[self.head].at <= deadline {
             Some(self.pop_hot())
@@ -858,6 +870,170 @@ mod tests {
                     (a, b) => panic!("drain length mismatch: {a:?} vs {b:?} (seed {seed})"),
                 }
             }
+        }
+    }
+
+    /// A refused pop whose deadline falls inside the bucket of the next
+    /// (later) event loads that bucket but changes nothing observable; an
+    /// earlier event pushed into the same bucket afterwards pops first.
+    #[test]
+    fn refusal_inside_the_next_bucket_is_invisible() {
+        let mut q = EventQueue::new();
+        q.push(t(1), "first");
+        assert_eq!(q.pop().unwrap().event, "first");
+        // 8 µs and 8.05 µs share one 64 ns bucket.
+        let pending = SimTime::from_nanos(8_050);
+        let deadline = SimTime::from_nanos(8_010);
+        assert_eq!(abs_bucket(pending), abs_bucket(deadline));
+        q.push(pending, "pending");
+        assert_eq!(q.pop_at_or_before(deadline), None);
+        assert_eq!(q.cursor, abs_bucket(pending), "the bucket was not loaded");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(pending));
+        assert_eq!(q.check_integrity(), Ok(()));
+        // Refusing again is idempotent.
+        assert_eq!(q.pop_at_or_before(deadline), None);
+        assert_eq!(q.peek_time(), Some(pending));
+        let earlier = SimTime::from_nanos(8_020);
+        assert_eq!(abs_bucket(earlier), abs_bucket(pending));
+        q.push(earlier, "earlier");
+        assert_eq!(q.check_integrity(), Ok(()));
+        assert_eq!(q.peek_time(), Some(earlier));
+        assert_eq!(q.pop_at_or_before(pending).unwrap().event, "earlier");
+        assert_eq!(q.pop_at_or_before(pending).unwrap().event, "pending");
+        assert!(q.is_empty());
+    }
+
+    /// The engine's clock is untouched by a refused pop inside the next
+    /// event's bucket.
+    #[test]
+    fn refusal_leaves_the_engine_clock_alone() {
+        let mut e = crate::Engine::new();
+        e.schedule(SimTime::from_nanos(8_050), "pending");
+        let before = e.now();
+        assert_eq!(e.pop_at_or_before(SimTime::from_nanos(8_010)), None);
+        assert_eq!(e.now(), before);
+        assert_eq!(e.check_integrity(), Ok(()));
+    }
+
+    /// With only far timers pending, a pop before them is refused without
+    /// moving anything out of the overflow heap.
+    #[test]
+    fn overflow_only_refusal_does_not_migrate() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(200), "rto");
+        q.push(SimTime::from_millis(300), "rto2");
+        assert_eq!(q.overflow.len(), 2);
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(100)), None);
+        assert_eq!(q.overflow.len(), 2, "refusal migrated overflow events");
+        assert_eq!(q.cursor, 0, "refusal advanced the cursor");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(200)));
+        assert_eq!(q.check_integrity(), Ok(()));
+        assert_eq!(
+            q.pop_at_or_before(SimTime::from_millis(200)).unwrap().event,
+            "rto"
+        );
+    }
+
+    /// Slot-by-slot reference for `next_wheel_bucket`.
+    fn next_wheel_bucket_linear<E>(q: &EventQueue<E>) -> Option<u64> {
+        let start = (q.cursor & SLOT_MASK) as usize;
+        (0..WHEEL_SLOTS)
+            .position(|d| q.slots[(start + d) % WHEEL_SLOTS] != NIL)
+            .map(|d| q.cursor + d as u64)
+    }
+
+    /// The farthest in-window bucket sits one slot behind the cursor's, in
+    /// the start word's low bits: the scan must wrap all the way round.
+    #[test]
+    fn scan_wraps_into_the_start_word() {
+        let mut q = EventQueue::new();
+        let base = SimTime::from_nanos(100 << BUCKET_SHIFT);
+        q.push(base, "cursor");
+        assert_eq!(q.pop().unwrap().event, "cursor");
+        let far_bucket = abs_bucket(base) + WHEEL_SLOTS as u64 - 1;
+        let far = SimTime::from_nanos(far_bucket << BUCKET_SHIFT);
+        q.push(far, "far");
+        assert_eq!(q.overflow.len(), 0, "the far event belongs in the wheel");
+        assert_eq!(q.next_wheel_bucket(), Some(far_bucket));
+        assert_eq!(q.next_wheel_bucket(), next_wheel_bucket_linear(&q));
+        assert_eq!(q.pop_at_or_before(far).unwrap().event, "far");
+    }
+
+    /// Sparse wheel: events at least 1 ms apart, so the next occupied slot
+    /// is tens of thousands of slots away and the scan must jump whole
+    /// summary words and wrap around the slot ring. The wheel must match
+    /// the heap oracle pop for pop (through both pop flavours), and the
+    /// summary-word scan must match a slot-by-slot scan.
+    #[test]
+    fn sparse_wheel_matches_heap_oracle_across_the_wrap() {
+        for seed in 0..24u64 {
+            let mut rng = SimRng::new(0x5AA5E ^ seed);
+            let mut wheel = EventQueue::new();
+            let mut heap = BinaryHeapQueue::new();
+            let mut now_ns = 0u64;
+            let mut last_ns = 0u64;
+            let mut id = 0u64;
+            for step in 0..200 {
+                match rng.index(4) {
+                    0 | 1 => {
+                        // Spaced ≥ 1 ms after the latest event; some land
+                        // past the ~4.2 ms window in the overflow heap.
+                        last_ns = last_ns.max(now_ns) + rng.uniform_u64(1_000_000, 3_000_000);
+                        let at = SimTime::from_nanos(last_ns);
+                        wheel.push(at, id);
+                        heap.push(at, id);
+                        id += 1;
+                    }
+                    2 => {
+                        let (a, b) = (wheel.pop(), heap.pop());
+                        assert_eq!(
+                            a.as_ref().map(|x| (x.at, x.seq, x.event)),
+                            b.as_ref().map(|y| (y.at, y.seq, y.event)),
+                            "pop diverged (seed {seed}, step {step})"
+                        );
+                        if let Some(x) = a {
+                            now_ns = x.at.as_nanos();
+                        }
+                    }
+                    _ => {
+                        let deadline = SimTime::from_nanos(now_ns + rng.uniform_u64(0, 6_000_000));
+                        let want = match heap.peek_time() {
+                            Some(at) if at <= deadline => heap.pop(),
+                            _ => None,
+                        };
+                        let got = wheel.pop_at_or_before(deadline);
+                        assert_eq!(
+                            got.as_ref().map(|x| (x.at, x.seq, x.event)),
+                            want.as_ref().map(|y| (y.at, y.seq, y.event)),
+                            "pop_at_or_before diverged (seed {seed}, step {step})"
+                        );
+                        if let Some(x) = got {
+                            now_ns = x.at.as_nanos();
+                        }
+                    }
+                }
+                assert_eq!(wheel.len(), heap.len(), "len diverged (seed {seed})");
+                assert_eq!(
+                    wheel.peek_time(),
+                    heap.peek_time(),
+                    "peek diverged (seed {seed}, step {step})"
+                );
+                if step % 5 == 0 {
+                    assert_eq!(
+                        wheel.next_wheel_bucket(),
+                        next_wheel_bucket_linear(&wheel),
+                        "bucket scan diverged (seed {seed}, step {step})"
+                    );
+                    assert_eq!(wheel.check_integrity(), Ok(()));
+                }
+            }
+            while let Some(x) = wheel.pop() {
+                let y = heap.pop().expect("heap drained first");
+                assert_eq!((x.at, x.seq), (y.at, y.seq), "drain diverged (seed {seed})");
+            }
+            assert!(heap.is_empty(), "wheel drained first (seed {seed})");
         }
     }
 

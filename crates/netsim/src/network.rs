@@ -1987,7 +1987,19 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             return;
         }
         let (flow, size) = (pkt.flow, pkt.size.as_bytes());
-        match d.queue.enqueue(pkt) {
+        // Idle-wire cut-through: with nothing on the wire the eager queue
+        // is empty (`TxDone` always refills the wire from the queue, and
+        // a teardown purges both), so the packet is classified against a
+        // zero backlog — exactly what `enqueue` would decide — and goes
+        // straight onto the wire without touching the ring.
+        let (outcome, wire) = if d.in_flight.is_none() {
+            debug_assert!(d.queue.is_empty(), "idle wire with a backlog");
+            let mut pkt = pkt;
+            (d.queue.classify(0, &mut pkt), Some(pkt))
+        } else {
+            (d.queue.enqueue(pkt), None)
+        };
+        match outcome {
             EnqueueOutcome::Dropped => {
                 d.stats.dropped += 1;
                 self.audit_dropped += 1;
@@ -2025,13 +2037,12 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
                         },
                         flow,
                         size,
-                        backlog: d.queue.len(),
+                        backlog: d.queue.len() + usize::from(wire.is_some()),
                     });
                 }
-                if d.in_flight.is_none() {
-                    let next = d.queue.dequeue().expect("just enqueued");
-                    let tx = bandwidth.transmission_time(next.size);
-                    d.in_flight = Some(next);
+                if let Some(pkt) = wire {
+                    let tx = bandwidth.transmission_time(pkt.size);
+                    d.in_flight = Some(pkt);
                     self.engine.schedule_keyed(
                         now + tx,
                         tx_done_key(link, dir),

@@ -16,6 +16,11 @@
 //!
 //! All capacities and thresholds are counted in **packets**, as in the paper
 //! ("we set K to 15 and the queue size to 100 packets").
+//!
+//! Buffers start unallocated and grow to the port's high-water backlog,
+//! not to `cap`: most ports never hold more than a few packets, and the
+//! lazy pipeline never buffers in them at all. A compact ring also keeps
+//! the head's walk on a few warm cache lines.
 
 use crate::packet::Packet;
 use std::collections::VecDeque;
@@ -246,7 +251,7 @@ impl<P> DropTail<P> {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "queue capacity must be positive");
         DropTail {
-            buf: VecDeque::with_capacity(cap.min(4096)),
+            buf: VecDeque::new(),
             cap,
         }
     }
@@ -297,7 +302,7 @@ impl<P> EcnThreshold<P> {
         assert!(cap > 0, "queue capacity must be positive");
         assert!(k <= cap, "marking threshold K={k} exceeds capacity {cap}");
         EcnThreshold {
-            buf: VecDeque::with_capacity(cap.min(4096)),
+            buf: VecDeque::new(),
             cap,
             k,
         }
@@ -387,7 +392,7 @@ impl<P> Red<P> {
         assert!(min_th <= max_th, "min_th must not exceed max_th");
         assert!((0.0..=1.0).contains(&max_p), "max_p must be a probability");
         Red {
-            buf: VecDeque::with_capacity(cap.min(4096)),
+            buf: VecDeque::new(),
             cap,
             wq,
             min_th,

@@ -37,6 +37,9 @@ cargo run --release --offline -p xmp-simcheck -- run --budget quick --out result
 # accuracy bands against the packet reference).
 cargo run --release --offline --quiet --manifest-path xmpbench/Cargo.toml -- --workload perm-k8 --seconds 0
 cargo run --release --offline --quiet --manifest-path xmpbench/Cargo.toml -- --workload hybrid-k8 --seconds 0
+# wave-k16-2w is the one pinned workload that runs the link pipeline
+# inside partition shards; it carries the north-star digest.
+cargo run --release --offline --quiet --manifest-path xmpbench/Cargo.toml -- --workload wave-k16-2w --seconds 0
 # Smoke: dynamics must export parseable JSONL traces, and `trace report`
 # (the std-only checker) must round-trip them. results/ stays untracked.
 cargo run --release --offline -p xmp-experiments -- dynamics --quick

@@ -1,6 +1,9 @@
 //! Zero-allocation steady state: once handshakes, slow start and the
-//! first retransmission-timer cycles have grown every scratch buffer and
-//! pool to its high-water mark, forwarding a packet hop allocates nothing.
+//! first retransmission-timer cycles have grown every scratch buffer,
+//! pool and qdisc ring to its high-water mark, forwarding a packet hop
+//! allocates nothing. Qdisc rings start unallocated and grow on demand,
+//! so the eager leg's window also proves no port queue outgrows its
+//! warm-up depth.
 //!
 //! A counting global allocator feeds the engine's alloc probe
 //! (`xmp_netsim::set_alloc_probe`), and a k = 4 fat tree carrying
