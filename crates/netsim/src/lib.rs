@@ -45,7 +45,7 @@ pub mod trace;
 pub use addr::Addr;
 pub use agent::{Agent, Ctx};
 pub use fault::{FaultEvent, FaultPlan};
-pub use fib::{AddrIndex, CompiledFib, FibBuilder, FibEntry};
+pub use fib::{CompiledFib, FibBuilder, FibTables};
 pub use fluid::{FluidCc, FluidFlowStats, FluidId, FluidSpec, FluidState, FluidSubflowSpec};
 pub use link::{FaultConfig, LinkId, LinkParams};
 pub use network::partition::{PartitionPlan, PartitionedSim};

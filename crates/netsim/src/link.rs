@@ -12,7 +12,7 @@ use crate::queue::{Qdisc, QdiscConfig, QdiscKind};
 use crate::stats::DirStats;
 use std::collections::VecDeque;
 use std::fmt;
-use xmp_des::{Bandwidth, SimDuration, SimRng, SimTime};
+use xmp_des::{Bandwidth, ByteSize, SimDuration, SimRng, SimTime};
 
 /// Index of a link in the simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -228,10 +228,51 @@ impl<P: Send> fmt::Debug for Direction<P> {
     }
 }
 
+/// A serialization rate with its per-byte cost precomputed. When a byte
+/// takes a whole number of picoseconds (`8e12 % bps == 0`: 1, 10, 40 and
+/// 100 Gbps, the torus's 0.8 Gbps, 1 and 100 Mbps),
+/// [`TxRate::transmission_time`] is a multiply and a division by the
+/// constant 1000; other rates, and products past `u64`, take the u128
+/// division of [`Bandwidth::transmission_time`]. Both give the same
+/// truncated nanoseconds: `bytes · ps / 1000 = bytes · 8e9 / bps` exactly.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TxRate {
+    bandwidth: Bandwidth,
+    ps_per_byte: Option<u64>,
+}
+
+impl TxRate {
+    pub(crate) fn new(bandwidth: Bandwidth) -> Self {
+        const PS_PER_BIT_SECOND: u64 = 8_000_000_000_000; // 8 bits × 1e12 ps
+        let bps = bandwidth.as_bps();
+        let ps_per_byte =
+            (bps > 0 && PS_PER_BIT_SECOND.is_multiple_of(bps)).then(|| PS_PER_BIT_SECOND / bps);
+        TxRate {
+            bandwidth,
+            ps_per_byte,
+        }
+    }
+
+    /// Time to serialize `size`, bit-identical to
+    /// [`Bandwidth::transmission_time`].
+    #[inline]
+    pub(crate) fn transmission_time(self, size: ByteSize) -> SimDuration {
+        match self
+            .ps_per_byte
+            .and_then(|ps| size.as_bytes().checked_mul(ps))
+        {
+            Some(ps) => SimDuration::from_nanos(ps / 1000),
+            None => self.bandwidth.transmission_time(size),
+        }
+    }
+}
+
 /// A full-duplex link: `dirs[0]` carries a→b, `dirs[1]` carries b→a.
 pub struct Link<P> {
     /// Serialization rate (both directions).
     pub bandwidth: Bandwidth,
+    /// `bandwidth` with its per-byte cost precomputed.
+    pub(crate) rate: TxRate,
     /// One-way propagation delay.
     pub delay: SimDuration,
     /// The two directions.
@@ -276,6 +317,7 @@ impl<P> Link<P> {
         };
         Link {
             bandwidth: params.bandwidth,
+            rate: TxRate::new(params.bandwidth),
             delay: params.delay,
             dirs: [mk_dir(b, 0), mk_dir(a, 1)],
             label,
@@ -319,6 +361,7 @@ impl<P> Link<P> {
         };
         Link {
             bandwidth: self.bandwidth,
+            rate: self.rate,
             delay: self.delay,
             dirs: [rep_dir(&self.dirs[0]), rep_dir(&self.dirs[1])],
             label: self.label.clone(),
@@ -344,5 +387,37 @@ impl<P> fmt::Debug for Link<P> {
             .field("delay", &self.delay)
             .field("label", &self.label)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tx_rate_matches_bandwidth_transmission_time() {
+        for (gbps, exact) in [(1, true), (10, true), (40, true), (3, false)] {
+            let bw = Bandwidth::from_gbps(gbps);
+            let rate = TxRate::new(bw);
+            assert_eq!(rate.ps_per_byte.is_some(), exact, "{gbps} Gbps");
+            for bytes in 0..=9000 {
+                let size = ByteSize::from_bytes(bytes);
+                assert_eq!(
+                    rate.transmission_time(size),
+                    bw.transmission_time(size),
+                    "{gbps} Gbps, {bytes} B"
+                );
+            }
+        }
+        // 300 Mbps: 26 666.7 ps per byte, fallback path.
+        let bw = Bandwidth::from_mbps(300);
+        assert!(TxRate::new(bw).ps_per_byte.is_none());
+        // A product past u64 (2^42 B × 8e6 ps) takes the u128 division too.
+        let slow = Bandwidth::from_mbps(1);
+        let huge = ByteSize::from_bytes(1 << 42);
+        assert_eq!(
+            TxRate::new(slow).transmission_time(huge),
+            slow.transmission_time(huge)
+        );
     }
 }

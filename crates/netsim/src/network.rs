@@ -18,7 +18,7 @@
 use crate::addr::Addr;
 use crate::agent::{Agent, Ctx, Emit};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::fib::{AddrIndex, CompiledFib};
+use crate::fib::FibTables;
 use crate::fluid::{FluidFlowStats, FluidId, FluidSpec};
 use crate::hash::FxHashMap;
 use crate::link::{Link, LinkId, LinkParams};
@@ -253,11 +253,9 @@ pub struct Sim<P: Payload, A: Agent<P> = Box<dyn Agent<P>>> {
     /// Always-on engine-loop profiling counters (pure observation).
     profile: SimProfile,
     tuning: SimTuning,
-    /// Destination index over the address book, built with the FIBs.
-    addr_index: Option<AddrIndex>,
-    /// Per-node compiled forwarding table (`None` for hosts and for
-    /// routers that don't compile).
-    fibs: Vec<Option<CompiledFib>>,
+    /// Every switch's compiled forwarding table, sharing one interned
+    /// block pool (`None` until the first `compile_fibs`).
+    fib: Option<FibTables>,
     /// Cleared whenever topology or tuning changes; `run_until` rebuilds.
     fibs_ready: bool,
     /// Installed fault timeline; engine `Fault` events index into it.
@@ -471,8 +469,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             probes: None,
             profile: SimProfile::default(),
             tuning: SimTuning::default(),
-            addr_index: None,
-            fibs: Vec::new(),
+            fib: None,
             fibs_ready: false,
             fault_timeline: Vec::new(),
             unroutable: 0,
@@ -997,11 +994,9 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         // Stop compiled tables from steering at the dead ports. The
         // dynamic fallback stays authoritative for affected destinations
         // until repair recompiles.
-        if self.fibs_ready {
+        if let (true, Some(fib)) = (self.fibs_ready, self.fib.as_mut()) {
             for (node, port) in ends {
-                if let Some(Some(fib)) = self.fibs.get_mut(node.0 as usize) {
-                    fib.invalidate_port(port);
-                }
+                fib.demote_port(node, port);
             }
         }
     }
@@ -1025,20 +1020,17 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         for d in &mut self.links[link.0 as usize].dirs {
             d.down = false;
         }
-        if !self.fibs_ready {
+        let (true, Some(fib)) = (self.fibs_ready, self.fib.as_mut()) else {
             // Nothing compiled yet: the next `run_until` builds from
             // scratch anyway.
             return;
-        }
-        let dsts: Vec<Addr> = self
-            .addr_book
-            .iter()
-            .map(|&(k, _)| Addr(k.to_be_bytes()))
-            .collect();
+        };
         let wall = std::time::Instant::now();
+        let keys: Vec<u32> = self.addr_book.iter().map(|&(k, _)| k).collect();
+        let dsts: Vec<Addr> = keys.iter().map(|k| Addr(k.to_be_bytes())).collect();
         for node in ends {
             if let NodeKind::Switch(r) = &self.nodes[node.0 as usize].kind {
-                self.fibs[node.0 as usize] = r.compile(&dsts);
+                fib.install(node, &keys, r.compile(&dsts).as_ref());
             }
         }
         self.profile.fib_compile_ns += wall.elapsed().as_nanos() as u64;
@@ -1396,31 +1388,35 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         self.fluid.get_or_insert_with(Default::default).tick_floor = floor;
     }
 
-    /// Build the destination index and per-switch compiled FIBs (no-op when
-    /// already current). `run_until` calls this automatically; tests that
-    /// probe [`Sim::route_on`] directly call it themselves.
+    /// Compile every switch's router and intern the tables into one shared
+    /// [`FibTables`] (no-op when already current). Each router's
+    /// per-destination table is dropped as soon as it is interned.
+    /// `run_until` calls this automatically; tests that probe
+    /// [`Sim::route_on`] directly call it themselves.
     pub fn compile_fibs(&mut self) {
         if self.fibs_ready {
             return;
         }
         let wall = std::time::Instant::now();
+        self.fib = None;
         let keys: Vec<u32> = self.addr_book.iter().map(|&(k, _)| k).collect();
-        let dsts: Vec<Addr> = self
-            .addr_book
-            .iter()
-            .map(|&(k, _)| Addr(k.to_be_bytes()))
-            .collect();
-        self.addr_index = Some(AddrIndex::build(&keys));
-        self.fibs = self
-            .nodes
-            .iter()
-            .map(|n| match &n.kind {
-                NodeKind::Switch(r) => r.compile(&dsts),
-                NodeKind::Host => None,
-            })
-            .collect();
+        let dsts: Vec<Addr> = keys.iter().map(|k| Addr(k.to_be_bytes())).collect();
+        let switches = self.nodes.iter().filter(|n| !n.is_host()).count();
+        let mut fib = FibTables::new(&keys, self.nodes.len(), switches);
+        for (i, n) in self.nodes.iter().enumerate() {
+            if let NodeKind::Switch(r) = &n.kind {
+                fib.install(NodeId(i as u32), &keys, r.compile(&dsts).as_ref());
+            }
+        }
+        self.fib = Some(fib);
         self.fibs_ready = true;
         self.profile.fib_compile_ns += wall.elapsed().as_nanos() as u64;
+    }
+
+    /// The compiled forwarding tables, once [`Sim::compile_fibs`] has made
+    /// them current.
+    pub fn fib_tables(&self) -> Option<&FibTables> {
+        self.fib.as_ref().filter(|_| self.fibs_ready)
     }
 
     /// Forwarding decision exactly as the hot path makes it: compiled FIB
@@ -1429,14 +1425,10 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
     /// like forwarding would.
     pub fn route_on(&self, node: NodeId, dst: Addr, flow: FlowId, in_port: PortId) -> PortId {
         assert!(self.fibs_ready, "call compile_fibs() before route_on()");
-        let compiled = self.fibs[node.0 as usize].as_ref();
-        match (compiled, &self.addr_index) {
-            (Some(fib), Some(ai)) => ai
-                .lookup(dst)
-                .and_then(|di| fib.lookup(di, flow))
-                .unwrap_or_else(|| self.route_dynamic(node, dst, flow, in_port)),
-            _ => self.route_dynamic(node, dst, flow, in_port),
-        }
+        self.fib
+            .as_ref()
+            .and_then(|fib| fib.lookup(node, dst, flow))
+            .unwrap_or_else(|| self.route_dynamic(node, dst, flow, in_port))
     }
 
     /// Forwarding decision from the dynamic router alone.
@@ -1541,7 +1533,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         let now = self.engine.now();
         let l = &mut self.links[link.0 as usize];
         let delay = l.delay;
-        let bandwidth = l.bandwidth;
+        let rate = l.rate;
         let d = l.dir_mut(dir);
         if gen != d.fail_gen {
             // The link failed since this was scheduled; the serializing
@@ -1572,7 +1564,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
             );
         }
         if let Some(next) = d.queue.dequeue() {
-            let tx = bandwidth.transmission_time(next.size);
+            let tx = rate.transmission_time(next.size);
             d.in_flight = Some(next);
             self.engine.schedule_keyed(
                 now + tx,
@@ -1675,13 +1667,8 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         // Stale-safe: a mid-run topology change (signal callbacks
         // may mutate the sim) drops back to the dynamic router
         // until the next `run_until` recompiles.
-        let compiled = if self.fibs_ready {
-            self.fibs.get(to_node.0 as usize).and_then(|f| f.as_ref())
-        } else {
-            None
-        };
-        let compiled_port = match (compiled, &self.addr_index) {
-            (Some(fib), Some(ai)) => ai.lookup(pkt.dst).and_then(|di| fib.lookup(di, pkt.flow)),
+        let compiled_port = match (self.fibs_ready, &self.fib) {
+            (true, Some(fib)) => fib.lookup(to_node, pkt.dst, pkt.flow),
             _ => None,
         };
         let out_port = match compiled_port {
@@ -1840,6 +1827,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
         let hybrid = self.tuning.hybrid;
         let l = &mut self.links[link.0 as usize];
         let bandwidth = l.bandwidth;
+        let rate = l.rate;
         let delay = l.delay;
         let d = l.dir_mut(dir);
         if d.down {
@@ -1957,7 +1945,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
                 });
             }
             let start = d.busy_until.max(now + fluid_delay);
-            let depart = start + bandwidth.transmission_time(pkt.size);
+            let depart = start + rate.transmission_time(pkt.size);
             d.busy_until = depart;
             d.pending.push_back((start, depart));
             d.stats.observe_backlog(now, d.pending.len());
@@ -2041,7 +2029,7 @@ impl<P: Payload, A: Agent<P>> Sim<P, A> {
                     });
                 }
                 if let Some(pkt) = wire {
-                    let tx = bandwidth.transmission_time(pkt.size);
+                    let tx = rate.transmission_time(pkt.size);
                     d.in_flight = Some(pkt);
                     self.engine.schedule_keyed(
                         now + tx,

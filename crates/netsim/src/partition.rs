@@ -281,8 +281,7 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             probes,
             profile: _,
             tuning,
-            addr_index: _,
-            fibs: _,
+            fib: _,
             fibs_ready: _,
             fault_timeline,
             unroutable,
@@ -445,8 +444,7 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 probes: shard_probes,
                 profile: SimProfile::default(),
                 tuning,
-                addr_index: None,
-                fibs: Vec::new(),
+                fib: None,
                 fibs_ready: false,
                 fault_timeline: fault_timeline.clone(),
                 unroutable: if s == 0 { unroutable } else { 0 },
@@ -827,8 +825,7 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
                 probes,
                 profile,
                 tuning,
-                addr_index: _,
-                fibs: _,
+                fib: _,
                 fibs_ready: _,
                 fault_timeline,
                 unroutable: ur,
@@ -991,8 +988,7 @@ impl<P: Payload, A: Agent<P> + Send> PartitionedSim<P, A> {
             probes,
             profile: profile_sum,
             tuning,
-            addr_index: None,
-            fibs: Vec::new(),
+            fib: None,
             fibs_ready: false,
             fault_timeline,
             unroutable,
@@ -1036,6 +1032,7 @@ fn merge_link<P: Payload>(copies: Vec<Link<P>>, dir_owner: [(u32, u32); 2]) -> L
     for (s, link) in copies.into_iter().enumerate() {
         let Link {
             bandwidth,
+            rate: _,
             delay,
             dirs,
             label,
@@ -1078,6 +1075,7 @@ fn merge_link<P: Payload>(copies: Vec<Link<P>>, dir_owner: [(u32, u32); 2]) -> L
     }
     Link {
         bandwidth,
+        rate: crate::link::TxRate::new(bandwidth),
         delay,
         dirs,
         label,

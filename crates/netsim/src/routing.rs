@@ -9,8 +9,9 @@
 //! `xmp-topo` next to the topology that defines its semantics.
 //!
 //! Routers answer packets through the dynamic [`Router::route`], but may
-//! additionally [`Router::compile`] themselves into a flat
-//! [`CompiledFib`] once the set of reachable destinations is known — see
+//! additionally [`Router::compile`] themselves into a per-destination
+//! [`CompiledFib`] once the set of reachable destinations is known; the sim
+//! interns that into its shared [`FibTables`](crate::fib::FibTables) — see
 //! the [`fib`](crate::fib) module. The dynamic path stays authoritative:
 //! compiled tables are checked bit-identical against it by differential
 //! tests, and any destination a router declines to compile falls back to
@@ -41,8 +42,9 @@ pub trait Router: Send {
     /// Routers that defer sorting do it here.
     fn prepare(&mut self) {}
 
-    /// Compile this router into a flat table over the given destinations
-    /// (the sim's address book, in destination-index order). `None` means
+    /// Compile this router into a table over the given destinations (the
+    /// sim's address book, in destination-index order), which the sim
+    /// interns into its shared [`FibTables`](crate::fib::FibTables). `None` means
     /// the router doesn't support compilation; per-destination misses
     /// inside a returned table likewise fall back to [`Router::route`].
     fn compile(&self, _dsts: &[Addr]) -> Option<CompiledFib> {
@@ -216,7 +218,7 @@ impl Default for EcmpRouter {
 
 /// The murmur-style 64-bit finalizer used for every hash-based port choice
 /// in the tree (ECMP spreading here, per-flow path selection in `xmp-topo`,
-/// and compiled [`FibEntry::Hash`](crate::fib::FibEntry) entries).
+/// and compiled hash entries, [`FibBuilder::hashed`]).
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
@@ -272,6 +274,16 @@ impl Router for EcmpRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fib::FibTables;
+    use crate::node::NodeId;
+
+    /// `r` compiled over the sorted `dsts` and interned as node 0's row.
+    fn compiled(r: &dyn Router, dsts: &[Addr]) -> FibTables {
+        let keys: Vec<u32> = dsts.iter().map(|a| u32::from_be_bytes(a.0)).collect();
+        let mut t = FibTables::new(&keys, 1, 1);
+        assert!(t.install(NodeId(0), &keys, r.compile(dsts).as_ref()));
+        t
+    }
 
     #[test]
     fn pattern_matching() {
@@ -391,11 +403,11 @@ mod tests {
             .default_via(PortId(0))
             .add(AddrPattern::subnet2(dst), PortId(1))
             .to(dst, PortId(2));
-        let dsts = [dst, Addr::new(10, 1, 9, 9), Addr::new(9, 9, 9, 9)];
-        let fib = r.compile(&dsts).unwrap();
-        for (i, &d) in dsts.iter().enumerate() {
+        let dsts = [Addr::new(9, 9, 9, 9), dst, Addr::new(10, 1, 9, 9)];
+        let fib = compiled(&r, &dsts);
+        for &d in &dsts {
             assert_eq!(
-                fib.lookup(i as u32, FlowId(0)),
+                fib.lookup(NodeId(0), d, FlowId(0)),
                 Some(r.route(d, FlowId(0), PortId(0)))
             );
         }
@@ -408,11 +420,11 @@ mod tests {
             vec![PortId(0), PortId(1), PortId(2), PortId(3)],
         );
         let dsts = [Addr::new(10, 0, 0, 2), Addr::new(10, 0, 0, 3)];
-        let fib = r.compile(&dsts).unwrap();
-        for (i, &d) in dsts.iter().enumerate() {
+        let fib = compiled(&r, &dsts);
+        for &d in &dsts {
             for f in 0..256u64 {
                 assert_eq!(
-                    fib.lookup(i as u32, FlowId(f)),
+                    fib.lookup(NodeId(0), d, FlowId(f)),
                     Some(r.route(d, FlowId(f), PortId(0))),
                     "dst {d} flow {f}"
                 );

@@ -35,16 +35,16 @@ pub struct DirStats {
     pub max_depth: usize,
     // Time-weighted queue depth accumulator.
     depth_weighted_ns: u128,
-    // Time (ns) spent in each DEPTH_BUCKETS band.
-    depth_hist_ns: [u128; DEPTH_BUCKETS.len()],
+    // Time (ns) spent in each DEPTH_BUCKETS band (u64 ns is 584 years).
+    depth_hist_ns: [u64; DEPTH_BUCKETS.len()],
     last_sample: Option<(SimTime, usize)>,
 }
 
+/// Index of the last `DEPTH_BUCKETS` edge at or below `depth`: bucket 0
+/// holds depth 0 and bucket `b ≥ 1` holds `[2^(b-1), 2^b)`, so the index is
+/// the depth's bit length, capped at the last bucket.
 fn bucket_of(depth: usize) -> usize {
-    DEPTH_BUCKETS
-        .iter()
-        .rposition(|&lo| depth >= lo)
-        .unwrap_or(0)
+    ((usize::BITS - depth.leading_zeros()) as usize).min(DEPTH_BUCKETS.len() - 1)
 }
 
 impl DirStats {
@@ -54,7 +54,7 @@ impl DirStats {
         if let Some((t0, d0)) = self.last_sample {
             let dt = now.as_nanos().saturating_sub(t0.as_nanos());
             self.depth_weighted_ns += dt as u128 * d0 as u128;
-            self.depth_hist_ns[bucket_of(d0)] += dt as u128;
+            self.depth_hist_ns[bucket_of(d0)] += dt;
         }
         self.max_depth = self.max_depth.max(depth);
         self.last_sample = Some((now, depth));
@@ -64,19 +64,22 @@ impl DirStats {
     /// depth of at least `depth` packets — e.g. `occupancy_at_least(K)` is
     /// how often arrivals were being marked.
     pub fn occupancy_at_least(&self, depth: usize) -> f64 {
-        let total: u128 = self.depth_hist_ns.iter().sum();
+        let total: u128 = self.depth_hist_ns.iter().map(|&ns| u128::from(ns)).sum();
         if total == 0 {
             return 0.0;
         }
         let from = bucket_of(depth);
-        let above: u128 = self.depth_hist_ns[from..].iter().sum();
+        let above: u128 = self.depth_hist_ns[from..]
+            .iter()
+            .map(|&ns| u128::from(ns))
+            .sum();
         above as f64 / total as f64
     }
 
     /// The time-weighted depth histogram as `(bucket lower edge, fraction
     /// of time)` pairs.
     pub fn depth_histogram(&self) -> Vec<(usize, f64)> {
-        let total: u128 = self.depth_hist_ns.iter().sum();
+        let total: u128 = self.depth_hist_ns.iter().map(|&ns| u128::from(ns)).sum();
         DEPTH_BUCKETS
             .iter()
             .zip(self.depth_hist_ns.iter())
@@ -148,6 +151,19 @@ mod tests {
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(100), 7);
         assert_eq!(bucket_of(5000), 9);
+    }
+
+    #[test]
+    fn bucket_mapping_matches_the_edge_scan() {
+        let scan = |depth: usize| {
+            DEPTH_BUCKETS
+                .iter()
+                .rposition(|&lo| depth >= lo)
+                .unwrap_or(0)
+        };
+        for depth in (0..=1024).chain([usize::MAX]) {
+            assert_eq!(bucket_of(depth), scan(depth), "depth {depth}");
+        }
     }
 
     #[test]

@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
+# Memory gate: a k=16 fat tree's compiled forwarding tables stay under
+# 1 MiB (ignored in the default suite; it compiles 320 switches).
+cargo test --release --offline --test fib_memory -- --ignored
 # Conformance gate: every spec clause in specs/ parses, every MUST cites
 # a test, and every cited test exists in the workspace. Exits nonzero on
 # a dangling citation (also enforced in-suite by tests/conformance.rs).
